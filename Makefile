@@ -36,10 +36,11 @@ race:
 # Chaos harness (DESIGN.md §8): drive the full HTTP service under -race
 # while the faults package injects errors and panics at every registered
 # point, plus the fault-tolerance tests of the layers below (guarded
-# degradation, panic isolation, load shedding, retrying client).
+# degradation, panic isolation, load shedding, retrying client), and the
+# feedback dialogue's canceled-request and abort tests.
 chaos:
 	$(GO) test -race -count=2 \
-		-run 'Chaos|Fault|Panic|Shed|Degraded|Overload|Guard|Retr' \
+		-run 'Chaos|Fault|Panic|Shed|Degraded|Overload|Guard|Retr|FeedbackCanceledRequestRecovers|AbortedDialogue' \
 		./internal/faults/ ./internal/conc/ ./internal/eval/ \
 		./internal/core/ ./internal/store/ ./internal/service/ \
 		./internal/client/ ./internal/gateway/

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"questpro/internal/conc"
 	"questpro/internal/graph"
 	"questpro/internal/qerr"
 	"questpro/internal/query"
@@ -86,91 +85,4 @@ func (ev *Evaluator) probeSharded(ctx context.Context, q *query.Simple, proj que
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// ResultsParallel is ResultsSimple with the per-candidate existence probes
-// fanned out over workers goroutines (resolved through conc.Workers: <= 0
-// selects GOMAXPROCS, the default shared with core.Options.Workers),
-// regardless of the evaluator's own Workers setting. Output and error
-// behavior are identical to ResultsSimple — the sharded merge replays the
-// candidate list in order — except that under a shared guard meter the
-// candidate whose probe observes the exhaustion is scheduling-dependent,
-// so the degraded prefix returned alongside a budget error may differ
-// between runs (degraded output is best-effort by definition).
-func (ev *Evaluator) ResultsParallel(ctx context.Context, q *query.Simple, workers int) ([]string, error) {
-	proj := q.Projected()
-	if proj == query.NoNode {
-		return nil, errNoProjected
-	}
-	pn := q.Node(proj)
-	if !pn.Term.IsVar {
-		return ev.ResultsSimple(ctx, q)
-	}
-	candidates := ev.projectedCandidates(q)
-	workers = conc.Workers(workers)
-	if len(candidates) < parallelThreshold || workers <= 1 {
-		return ev.probeSeq(ctx, q, proj, candidates)
-	}
-	return ev.probeSharded(ctx, q, proj, candidates, workers)
-}
-
-// ResultsUnionParallel evaluates a union with the branches fanned out over
-// workers goroutines (resolved through conc.Workers; <= 0 selects
-// GOMAXPROCS) and each branch evaluated with ResultsParallel, so a union of
-// many small branches — each below parallelThreshold — still uses the pool.
-// Per-branch result lists are deduplicated into the union afterwards in
-// branch order; output (sorted, deduplicated) and error behavior (the error
-// of the earliest failing branch wins, later results are discarded) are
-// identical to evaluating the branches sequentially.
-func (ev *Evaluator) ResultsUnionParallel(ctx context.Context, u *query.Union, workers int) ([]string, error) {
-	branches := u.Branches()
-	workers = conc.Workers(workers)
-	pool := workers
-	if pool > len(branches) {
-		pool = len(branches)
-	}
-
-	perBranch := make([][]string, len(branches))
-	errs := make([]error, len(branches))
-	var next int32
-	var wg sync.WaitGroup
-	for w := 0; w < pool; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt32(&next, 1)) - 1
-				if i >= len(branches) {
-					return
-				}
-				perBranch[i], errs[i] = ev.ResultsParallel(ctx, branches[i], workers)
-			}
-		}()
-	}
-	wg.Wait()
-	var budgetErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, qerr.ErrBudgetExhausted) {
-			if budgetErr == nil {
-				budgetErr = err
-			}
-			continue
-		}
-		return nil, err
-	}
-	seen := map[string]bool{}
-	for _, rs := range perBranch {
-		for _, r := range rs {
-			seen[r] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out, budgetErr
 }

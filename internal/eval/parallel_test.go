@@ -1,6 +1,7 @@
 package eval_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -9,20 +10,54 @@ import (
 
 	"questpro/internal/eval"
 	"questpro/internal/graph"
+	"questpro/internal/obs"
 	"questpro/internal/paperfix"
 	"questpro/internal/query"
 )
 
-// ResultsParallel agrees with ResultsSimple on the running example.
+// The tests below run the production sharded probe path — ResultsSimple
+// and Results on an evaluator with Workers > 1 — against a single-worker
+// evaluator, which always probes sequentially.
+
+// withWorkers returns a fresh evaluator over o with the given pool size.
+func withWorkers(o *graph.Graph, workers int) *eval.Evaluator {
+	ev := eval.New(o)
+	ev.Workers = workers
+	return ev
+}
+
+// probeMode runs ResultsSimple under a root span and reports which probe
+// path its eval.results span took ("seq" or "sharded").
+func probeMode(t *testing.T, ev *eval.Evaluator, q *query.Simple) ([]string, string) {
+	t.Helper()
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
+	ctx, root := obs.NewRoot(context.Background(), "test")
+	rs, err := ev.ResultsSimple(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.Finish()
+	mode := ""
+	root.Snapshot().Walk(func(n *obs.Node) {
+		if n.Kind == "eval.results" {
+			mode = n.Labels["probe"]
+		}
+	})
+	return rs, mode
+}
+
+// A multi-worker evaluator agrees with a single-worker one on the running
+// example.
 func TestResultsParallelSmall(t *testing.T) {
 	o := paperfix.Ontology()
-	ev := eval.New(o)
+	seqEv, parEv := withWorkers(o, 1), withWorkers(o, 4)
 	for _, q := range []*query.Simple{paperfix.Q1(), paperfix.Q3(), paperfix.Q4()} {
-		seq, err := ev.ResultsSimple(bg, q)
+		seq, err := seqEv.ResultsSimple(bg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := ev.ResultsParallel(bg, q, 4)
+		par, err := parEv.ResultsSimple(bg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,16 +67,16 @@ func TestResultsParallelSmall(t *testing.T) {
 	}
 }
 
-// Ground projected node takes the sequential path.
+// A ground projected node is answered by one existence check, whatever the
+// pool size.
 func TestResultsParallelGround(t *testing.T) {
 	o := paperfix.Ontology()
-	ev := eval.New(o)
 	exs := paperfix.Explanations(o)
 	ground, err := query.FromExplanation(exs[0].Graph, exs[0].Distinguished)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ev.ResultsParallel(bg, ground, 8)
+	res, err := withWorkers(o, 8).ResultsSimple(bg, ground)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +85,9 @@ func TestResultsParallelGround(t *testing.T) {
 	}
 }
 
-// Property: parallel and sequential evaluation agree on random queries over
-// graphs large enough to cross the parallel threshold.
+// Property: on graphs large enough to cross the parallel threshold,
+// ResultsSimple with Workers takes the sharded path and agrees exactly with
+// the sequential loop.
 func TestResultsParallelAgreesProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -67,13 +103,10 @@ func TestResultsParallelAgreesProperty(t *testing.T) {
 		q.MustAddEdge(b, c, "q")
 		q.SetProjected(b)
 
-		ev := eval.New(o)
-		seq, err := ev.ResultsSimple(bg, q)
-		if err != nil {
-			return false
-		}
-		par, err := ev.ResultsParallel(bg, q, 3)
-		if err != nil {
+		seq, seqMode := probeMode(t, withWorkers(o, 1), q)
+		par, parMode := probeMode(t, withWorkers(o, 3), q)
+		if seqMode != "seq" || parMode != "sharded" {
+			t.Errorf("seed %d: probe paths %q/%q, want seq/sharded", seed, seqMode, parMode)
 			return false
 		}
 		return reflect.DeepEqual(seq, par)
@@ -85,13 +118,12 @@ func TestResultsParallelAgreesProperty(t *testing.T) {
 
 func TestResultsUnionParallel(t *testing.T) {
 	o := paperfix.Ontology()
-	ev := eval.New(o)
 	u := query.NewUnion(paperfix.Q3(), paperfix.Q4())
-	seq, err := ev.Results(bg, u)
+	seq, err := withWorkers(o, 1).Results(bg, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ev.ResultsUnionParallel(bg, u, 4)
+	par, err := withWorkers(o, 4).Results(bg, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +132,8 @@ func TestResultsUnionParallel(t *testing.T) {
 	}
 }
 
-// A union of many branches that are each below parallelThreshold still uses
-// the pool (branch-level fan-out) and agrees exactly with the sequential
-// union evaluation.
+// A union of many branches, each below the parallel threshold, gives the
+// same results for every pool size.
 func TestResultsUnionParallelManySmallBranches(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	o := graph.RandomOntology(rng, graph.RandomConfig{
@@ -121,13 +152,12 @@ func TestResultsUnionParallelManySmallBranches(t *testing.T) {
 		branches = append(branches, q)
 	}
 	u := query.NewUnion(branches...)
-	ev := eval.New(o)
-	seq, err := ev.Results(bg, u)
+	seq, err := withWorkers(o, 1).Results(bg, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 8, 0} {
-		par, err := ev.ResultsUnionParallel(bg, u, workers)
+	for _, workers := range []int{2, 8, 0} {
+		par, err := withWorkers(o, workers).Results(bg, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +167,8 @@ func TestResultsUnionParallelManySmallBranches(t *testing.T) {
 	}
 }
 
-// Budget exhaustion in a branch surfaces the same error the sequential path
-// reports, with no partial results.
+// Step-budget exhaustion on the sharded path surfaces the same error the
+// sequential path reports, with no partial results.
 func TestResultsUnionParallelBudgetError(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	o := graph.RandomOntology(rng, graph.RandomConfig{
@@ -153,25 +183,24 @@ func TestResultsUnionParallelBudgetError(t *testing.T) {
 	q.SetProjected(a)
 	u := query.NewUnion(q, q.Clone())
 
-	ev := eval.New(o)
-	ev.MaxSteps = 3
-	if _, err := ev.Results(bg, u); !errors.Is(err, eval.ErrBudget) {
-		t.Fatalf("sequential union error = %v, want budget exhaustion", err)
-	}
-	rs, err := ev.ResultsUnionParallel(bg, u, 4)
-	if !errors.Is(err, eval.ErrBudget) {
-		t.Fatalf("parallel union error = %v, want budget exhaustion", err)
-	}
-	if rs != nil {
-		t.Fatalf("partial results returned alongside error: %v", rs)
+	for _, workers := range []int{1, 4} {
+		ev := withWorkers(o, workers)
+		ev.MaxSteps = 3
+		rs, err := ev.Results(bg, u)
+		if !errors.Is(err, eval.ErrBudget) {
+			t.Fatalf("workers=%d: union error = %v, want budget exhaustion", workers, err)
+		}
+		if rs != nil {
+			t.Fatalf("workers=%d: partial results returned alongside error: %v", workers, rs)
+		}
 	}
 }
 
 func TestResultsParallelNoProjected(t *testing.T) {
-	ev := eval.New(paperfix.Ontology())
+	ev := withWorkers(paperfix.Ontology(), 2)
 	q := query.NewSimple()
 	q.MustEnsureNode(query.Var("x"), "")
-	if _, err := ev.ResultsParallel(bg, q, 2); err == nil {
+	if _, err := ev.ResultsSimple(bg, q); err == nil {
 		t.Fatal("missing projected node not reported")
 	}
 }
@@ -188,19 +217,17 @@ func BenchmarkResultsParallelVsSequential(b *testing.B) {
 	q.MustAddEdge(a, m, "p")
 	q.MustAddEdge(m, c, "q")
 	q.SetProjected(m)
-	ev := eval.New(o)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ev.ResultsSimple(bg, q); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"sequential", 1}, {"parallel", 0}} {
+		ev := withWorkers(o, bc.workers)
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ev.ResultsSimple(bg, q); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ev.ResultsParallel(bg, q, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

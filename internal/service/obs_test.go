@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"questpro/internal/faults"
 	"questpro/internal/obs"
@@ -119,8 +118,8 @@ func TestTraceEndpointSpanTree(t *testing.T) {
 }
 
 // TestTraceFeedbackDialogue drives the feedback dialogue to completion and
-// checks the background goroutine's own root span lands in the session
-// trace with the questions counter set.
+// checks the dialogue's own root span lands in the session trace with the
+// questions counter set.
 func TestTraceFeedbackDialogue(t *testing.T) {
 	c := newTestServer(t, service.Config{TraceRing: 16})
 	want := paperfixWant(t)
@@ -148,24 +147,17 @@ func TestTraceFeedbackDialogue(t *testing.T) {
 		t.Fatal("dialogue did not converge")
 	}
 
-	// The dialogue span is finished by the background goroutine after the
-	// final answer is delivered; poll briefly for it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if dlg := findRoot(getTraces(t, c, base), "feedback.dialogue"); dlg != nil {
-			if dlg["outcome"] != "ok" {
-				t.Fatalf("feedback.dialogue outcome = %v, want ok", dlg["outcome"])
-			}
-			counters, _ := dlg["counters"].(map[string]any)
-			if got, _ := counters["questions"].(float64); int(got) != questions {
-				t.Fatalf("feedback.dialogue questions = %v, asked %d", counters["questions"], questions)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("feedback.dialogue root span never appeared in the trace")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// The request that delivered the outcome finished the dialogue span.
+	dlg := findRoot(getTraces(t, c, base), "feedback.dialogue")
+	if dlg == nil {
+		t.Fatal("feedback.dialogue root span missing from the trace")
+	}
+	if dlg["outcome"] != "ok" {
+		t.Fatalf("feedback.dialogue outcome = %v, want ok", dlg["outcome"])
+	}
+	counters, _ := dlg["counters"].(map[string]any)
+	if got, _ := counters["questions"].(float64); int(got) != questions {
+		t.Fatalf("feedback.dialogue questions = %v, asked %d", counters["questions"], questions)
 	}
 }
 

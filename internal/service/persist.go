@@ -328,10 +328,10 @@ func (r *Registry) rebuildSession(snap *sessionSnapshot) (*Session, error) {
 
 // resumeDialogue reconstructs an in-flight feedback dialogue: the top-k
 // candidate beam is re-derived by re-running the (deterministic) inference,
-// the dialogue goroutine is restarted, and the snapshot's answer log is
-// replayed through it — reproducing the exact question sequence, including
-// re-pulling the question the client was looking at when the process died,
-// so the client's next fetch is idempotent.
+// a fresh dialogue is started, and the snapshot's answer log is replayed
+// through it — reproducing the exact question sequence, including the
+// question the client was looking at when the process died, so the
+// client's next fetch is idempotent.
 func (s *Session) resumeDialogue(fb *snapFeedback) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -360,53 +360,24 @@ func (s *Session) resumeDialogue(fb *snapFeedback) error {
 	for i, c := range cands {
 		qs[i] = c.Query
 	}
-	run := newFeedbackRun(fb.MaxQuestions)
-	s.startDialogueLocked(run, qs)
+	run := s.startDialogueLocked(qs, fb.MaxQuestions)
 	for i, ans := range fb.Answers {
-		select {
-		case <-run.questions:
-			run.asked++
-		case out := <-run.outcome:
-			s.settleOutcomeLocked(run, qs, out)
-			return fmt.Errorf("dialogue ended during replay after %d of %d answers", i, len(fb.Answers))
-		case <-s.ctx.Done():
-			return qerr.Canceled(s.ctx.Err())
+		if q, _, err := run.d.Next(run.ctx); q == nil {
+			s.endDialogueLocked("error")
+			return fmt.Errorf("dialogue ended during replay after %d of %d answers: %v", i, len(fb.Answers), err)
 		}
-		select {
-		case run.answers <- ans:
-			run.log = append(run.log, ans)
-		case <-s.ctx.Done():
-			return qerr.Canceled(s.ctx.Err())
-		}
+		run.d.Answer(ans)
+		run.log = append(run.log, ans)
 	}
 	if fb.PendingDelivered {
-		// The crashed process had already served the next question; pull it
-		// again so it is re-served, not re-computed into the buffer.
-		select {
-		case q := <-run.questions:
-			run.asked++
-			run.pending = q
-		case out := <-run.outcome:
-			s.settleOutcomeLocked(run, qs, out)
-			return fmt.Errorf("dialogue ended during replay while a question was pending")
-		case <-s.ctx.Done():
-			return qerr.Canceled(s.ctx.Err())
+		q, _, err := run.d.Next(run.ctx)
+		if q == nil {
+			s.endDialogueLocked("error")
+			return fmt.Errorf("dialogue ended during replay while a question was pending: %v", err)
 		}
+		run.pending = q
 	}
 	return nil
-}
-
-// settleOutcomeLocked applies a dialogue outcome reached unexpectedly
-// during replay: the winning candidate (if any) becomes the session's
-// result, mirroring nextEventLocked's outcome arm.
-func (s *Session) settleOutcomeLocked(run *feedbackRun, qs []*query.Union, out feedbackOutcome) {
-	s.fb = nil
-	if out.err != nil && !errors.Is(out.err, qerr.ErrMaxQuestions) {
-		return
-	}
-	if out.idx >= 0 && out.idx < len(qs) {
-		s.result = qs[out.idx]
-	}
 }
 
 // replayWAL re-executes journaled operations newer than the snapshot, in

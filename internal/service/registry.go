@@ -391,9 +391,9 @@ func (r *Registry) Len() int {
 // Budget exposes the shared worker budget (used by tests and metrics).
 func (r *Registry) Budget() *conc.Budget { return r.budget }
 
-// Close cancels every session, stops the janitor and waits for all
-// session-owned goroutines (feedback dialogues) to exit, so a server
-// shutdown leaks nothing. With a store configured, every dirty session is
+// Close cancels every session (stopping any feedback turn in progress),
+// stops the janitor and waits for it to exit, so a server shutdown leaks
+// nothing. With a store configured, every dirty session is
 // flushed to it first — BEFORE the session is torn down, because teardown
 // discards the dialogue state the flush must capture — and the store
 // (owned by the registry since NewRegistry) is closed last.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"questpro/internal/core"
+	"questpro/internal/faults"
 	"questpro/internal/paperfix"
 	"questpro/internal/qerr"
 )
@@ -197,8 +198,8 @@ func TestCloseReapsFeedback(t *testing.T) {
 	}
 }
 
-// Starting a new dialogue (or resubmitting examples) aborts the previous
-// dialogue without leaking its goroutine.
+// Starting a new dialogue aborts the previous one, and the new one runs to
+// completion.
 func TestFeedbackRestart(t *testing.T) {
 	r := newTestRegistry(t, Config{})
 	s := createPaperfix(t, r)
@@ -232,9 +233,9 @@ func TestFeedbackRestart(t *testing.T) {
 }
 
 // A feedback request canceled before the question reaches the client must
-// not strand the dialogue: the question waits in the buffer, a blind
-// AnswerFeedback re-delivers it (without consuming the verdict) instead of
-// deadlocking on the oracle channel, and the dialogue still converges.
+// not strand the dialogue: the turn still runs to its question, which stays
+// undelivered; a blind AnswerFeedback re-delivers it (without consuming the
+// verdict), and the dialogue still converges.
 func TestFeedbackCanceledRequestRecovers(t *testing.T) {
 	r := newTestRegistry(t, Config{})
 	s := createPaperfix(t, r)
@@ -243,35 +244,28 @@ func TestFeedbackCanceledRequestRecovers(t *testing.T) {
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	// With an already-canceled context the select usually loses the
-	// question; retry a few times in case it races the other way (each
-	// StartFeedback aborts the previous dialogue).
-	stranded := false
-	for i := 0; i < 50 && !stranded; i++ {
-		ev, err := s.StartFeedback(canceled, 0)
-		if err != nil {
-			stranded = true
-			break
-		}
-		if ev.Done {
-			t.Skip("candidates collapsed without questions")
-		}
-	}
-	if !stranded {
-		t.Skip("cancellation never won the race against the first question")
+	if _, err := s.StartFeedback(canceled, 0); !errors.Is(err, qerr.ErrCanceled) {
+		t.Fatalf("StartFeedback under a canceled request = %v, want ErrCanceled", err)
 	}
 
 	// The dialogue is live with an undelivered question. The answer must
-	// not be consumed: it comes back as a redelivered event.
+	// not be consumed: it comes back as a redelivered event, served from
+	// the finished turn without evaluating anything again.
+	in := faults.NewInjector(1)
+	restore := faults.Activate(in)
 	ev, err := s.AnswerFeedback(context.Background(), true)
+	restore()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := evalHits(in); n != 0 {
+		t.Fatalf("redelivery re-ran the turn: %d evaluator hits", n)
 	}
 	if !ev.Redelivered {
 		t.Fatalf("answer with no delivered question consumed: %+v", ev)
 	}
-	if !ev.Done && ev.Question == nil {
-		t.Fatalf("redelivered event has no question: %+v", ev)
+	if ev.Done || ev.Question == nil || ev.Questions != 1 {
+		t.Fatalf("redelivered event is not the first question: %+v", ev)
 	}
 	for i := 0; !ev.Done && i < 32; i++ {
 		ev, err = s.AnswerFeedback(context.Background(), false)

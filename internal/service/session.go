@@ -31,9 +31,9 @@ type Session struct {
 	reg *Registry
 
 	// ctx is the session-scoped context: a child of the registry's root,
-	// canceled when the session is evicted or the registry closes. The
-	// feedback dialogue's goroutine runs under it, which is what makes
-	// shutdown goroutine-leak-free.
+	// canceled when the session is evicted or the registry closes. Feedback
+	// turns run under it rather than under their request's context, so a
+	// turn outlives a request that gives up but not the session.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -88,10 +88,10 @@ type Session struct {
 
 	// traces is the ring of the session's most recent finished operation
 	// traces (root span snapshots, oldest first), served at
-	// /v1/sessions/{id}/trace. Its own mutex, not s.mu: traces are recorded
-	// while the operation's stack unwinds, after its s.mu defer released
-	// the lock, and the feedback goroutine records its dialogue trace with
-	// no claim on s.mu at all.
+	// /v1/sessions/{id}/trace. Its own mutex, not s.mu: operation traces
+	// are recorded while the operation's stack unwinds, after its s.mu
+	// defer released the lock, while a dialogue's trace is recorded under
+	// s.mu by the request that ends it.
 	traceMu sync.Mutex
 	traces  []*obs.Node
 }
@@ -223,17 +223,13 @@ func (s *Session) Traces() []*obs.Node {
 	return append([]*obs.Node(nil), s.traces...)
 }
 
-// close cancels the session's context and waits for its feedback goroutine
-// (if any) to exit.
+// close cancels the session's context, which stops a turn in progress, and
+// ends its feedback dialogue (if any).
 func (s *Session) close() {
 	s.cancel()
 	s.mu.Lock()
-	fb := s.fb
-	s.fb = nil
+	s.endDialogueLocked("canceled")
 	s.mu.Unlock()
-	if fb != nil {
-		<-fb.exited
-	}
 }
 
 // SetExamples validates and installs the example-set, resetting any
@@ -253,7 +249,7 @@ func (s *Session) SetExamples(ctx context.Context, exs provenance.ExampleSet) (e
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.persistPendingLocked(ctx)
-	s.abortFeedbackLocked()
+	s.endDialogueLocked("canceled")
 	s.ex = exs
 	s.pex = nil
 	s.completed = nil
@@ -284,7 +280,7 @@ func (s *Session) SetPartialExamples(ctx context.Context, pex provenance.Partial
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.persistPendingLocked(ctx)
-	s.abortFeedbackLocked()
+	s.endDialogueLocked("canceled")
 	s.ex = nil
 	s.pex = pex
 	s.completed = nil
@@ -353,7 +349,7 @@ func (s *Session) Infer(ctx context.Context, mode string) (res InferResult, err 
 	if len(s.ex) == 0 && len(s.pex) == 0 {
 		return InferResult{}, fmt.Errorf("service: no example-set submitted")
 	}
-	s.abortFeedbackLocked()
+	s.endDialogueLocked("canceled")
 
 	// A canceled session must abort the run even when the request context
 	// is healthy (e.g. the registry is shutting down).
@@ -482,91 +478,78 @@ type FeedbackEvent struct {
 	Redelivered bool
 }
 
-// feedbackRun is the channel plumbing between HTTP handlers and the
-// goroutine driving feedback.Session.ChooseQuery. questions is buffered
-// (capacity 1) so the goroutine never blocks delivering a question: if the
-// HTTP request that should have picked it up is canceled first, the
-// question waits in the buffer for the next request instead of stranding
-// the dialogue. The goroutine does block waiting for each answer — or for
-// the session context to be canceled, which is how eviction and shutdown
-// reap it.
+// feedbackRun is the session's feedback dialogue: Algorithm 3's step
+// machine plus what the requests and the snapshot codec keep around it.
+// Requests step it one turn at a time under the session mutex; nothing runs
+// between requests.
 type feedbackRun struct {
-	questions chan *eval.ResultWithProvenance
-	answers   chan bool
-	outcome   chan feedbackOutcome // buffered: the goroutine never blocks on it
-	exited    chan struct{}
-	asked     int
+	d     *feedback.Dialogue
+	cands []*query.Union
+
+	// ctx is a child of the session context carrying the dialogue's
+	// feedback.dialogue root span (sp). Every turn runs under it, not under
+	// the request's context: the dialogue spans many requests, and a turn
+	// whose request gives up is finished and kept for the next request.
+	ctx context.Context
+	sp  *obs.Span
 
 	// pending is the question delivered to the client and awaiting an
-	// answer (nil when none). Guarded by the session mutex.
+	// answer (nil when none). A question computed for a request that gave
+	// up before delivery stays undelivered inside d.
 	pending *eval.ResultWithProvenance
 
 	// maxQuestions and log make the dialogue's position replayable by the
 	// snapshot codec: the question budget the dialogue was started with,
 	// and every answer consumed so far in order. Replaying log through a
 	// fresh dialogue over the same (deterministically re-derived)
-	// candidates reproduces the exact question sequence. Guarded by the
-	// session mutex.
+	// candidates reproduces the exact question sequence.
 	maxQuestions int
 	log          []bool
 }
 
-func newFeedbackRun(max int) *feedbackRun {
-	return &feedbackRun{
-		questions:    make(chan *eval.ResultWithProvenance, 1),
-		answers:      make(chan bool),
-		outcome:      make(chan feedbackOutcome, 1),
-		exited:       make(chan struct{}),
-		maxQuestions: max,
+// asked counts the questions delivered so far: every answered one plus
+// the pending one.
+func (run *feedbackRun) asked() int {
+	if run.pending != nil {
+		return len(run.log) + 1
 	}
+	return len(run.log)
 }
 
-type feedbackOutcome struct {
-	idx int
-	tr  *feedback.Transcript
-	err error
+// startDialogueLocked installs a fresh dialogue over cands as the session's
+// and opens its root span; callers hold s.mu. Shared by StartFeedback and
+// the restore path's resumeDialogue, so a resumed dialogue runs
+// byte-identically to a live one.
+func (s *Session) startDialogueLocked(cands []*query.Union, max int) *feedbackRun {
+	fs := &feedback.Session{Ev: s.ev, Ex: s.ex, MaxQuestions: max}
+	// The dialogue gets its own root span: it outlives the request that
+	// started it, so it cannot hang off that request's span. Its children
+	// are the feedback.question turns; their durations include user think
+	// time.
+	ctx, sp := s.reg.tracer.StartRoot(s.ctx, "feedback.dialogue")
+	if sp != nil {
+		sp.SetLabel("session_id", s.ID)
+		sp.SetInt("candidates", int64(len(cands)))
+	}
+	s.fb = &feedbackRun{d: fs.NewDialogue(cands), cands: cands, ctx: ctx, sp: sp, maxQuestions: max}
+	return s.fb
 }
 
-// chanOracle bridges ChooseQuery's synchronous oracle calls onto the run's
-// channels.
-type chanOracle struct{ run *feedbackRun }
-
-func (o *chanOracle) ShouldInclude(ctx context.Context, res *eval.ResultWithProvenance) (bool, error) {
-	select {
-	case o.run.questions <- res:
-	case <-ctx.Done():
-		return false, qerr.Canceled(ctx.Err())
-	}
-	select {
-	case ans := <-o.run.answers:
-		return ans, nil
-	case <-ctx.Done():
-		return false, qerr.Canceled(ctx.Err())
-	}
-}
-
-// abortFeedbackLocked cancels a dialogue in progress by draining it with a
-// throwaway context watcher; callers hold s.mu. The goroutine observes the
-// session context only through oracle calls, so we interrupt it by
-// replacing the answer it is waiting for with a canceled error via the
-// session context — which we cannot cancel here (the session lives on), so
-// instead we spin a drainer that answers "exclude" until the loop ends.
-func (s *Session) abortFeedbackLocked() {
-	fb := s.fb
-	if fb == nil {
+// endDialogueLocked detaches the session's dialogue, if any, and finishes
+// its root span with the outcome; callers hold s.mu.
+func (s *Session) endDialogueLocked(outcome string) {
+	run := s.fb
+	if run == nil {
 		return
 	}
 	s.fb = nil
-	go func() {
-		for {
-			select {
-			case <-fb.questions:
-			case fb.answers <- false:
-			case <-fb.exited:
-				return
-			}
+	run.d.Close(outcome)
+	if run.sp != nil {
+		run.sp.SetInt("questions", int64(len(run.d.Transcript().Questions)))
+		if n := s.reg.tracer.FinishRoot(run.sp, outcome); n != nil {
+			s.recordTrace(n)
 		}
-	}()
+	}
 }
 
 // StartFeedback begins Algorithm 3 over the candidates of the last top-k
@@ -587,77 +570,14 @@ func (s *Session) StartFeedback(ctx context.Context, max int) (_ FeedbackEvent, 
 	if len(s.cands) == 0 {
 		return FeedbackEvent{}, fmt.Errorf("service: no candidates: run a top-k inference first")
 	}
-	s.abortFeedbackLocked()
-
-	run := newFeedbackRun(max)
+	s.endDialogueLocked("canceled")
 	cands := make([]*query.Union, len(s.cands))
 	for i, c := range s.cands {
 		cands[i] = c.Query
 	}
-	s.startDialogueLocked(run, cands)
+	run := s.startDialogueLocked(cands, max)
 	s.markMutatedLocked(&walRecord{Op: walOpFeedback, Max: max})
-	return s.nextEventLocked(ctx, run, cands)
-}
-
-// startDialogueLocked installs the run as the session's dialogue and spawns
-// the goroutine driving feedback.Session.ChooseQuery over cands; callers
-// hold s.mu. Shared by StartFeedback and the restore path's
-// resumeDialogue, so a resumed dialogue runs byte-identically to a live
-// one.
-func (s *Session) startDialogueLocked(run *feedbackRun, cands []*query.Union) {
-	fs := &feedback.Session{
-		Ev:           s.ev,
-		Oracle:       &chanOracle{run: run},
-		Ex:           s.ex,
-		MaxQuestions: run.maxQuestions,
-	}
-	s.fb = run
-	go func() {
-		// A panic on this goroutine would kill the whole process (no HTTP-
-		// layer recover covers it), so it gets its own recovery boundary:
-		// the panic becomes the dialogue's outcome error, delivered through
-		// the usual channel before exited closes. outcome is buffered, so
-		// the send never blocks even with no request waiting.
-		//
-		// The dialogue also gets its own root span: it outlives the HTTP
-		// request that started it (each question waits on a later request
-		// for its answer), so it cannot hang off the request's span. Its
-		// children are the feedback.question turns; their durations include
-		// user think time.
-		dctx, dsp := s.reg.tracer.StartRoot(s.ctx, "feedback.dialogue")
-		if dsp != nil {
-			dsp.SetLabel("session_id", s.ID)
-			dsp.SetInt("candidates", int64(len(cands)))
-		}
-		defer close(run.exited)
-		defer func() {
-			if r := recover(); r != nil {
-				ie := qerr.Internal(r, debug.Stack())
-				if x, ok := ie.(*qerr.InternalError); ok {
-					s.lastErr.Store(x)
-				}
-				s.reg.recordPanic()
-				if n := s.reg.tracer.FinishRoot(dsp, "panic"); n != nil {
-					s.recordTrace(n)
-				}
-				run.outcome <- feedbackOutcome{idx: -1, err: fmt.Errorf("service: feedback dialogue: %w", ie)}
-			}
-		}()
-		idx, tr, err := fs.ChooseQuery(dctx, cands)
-		if dsp != nil {
-			if tr != nil {
-				dsp.SetInt("questions", int64(len(tr.Questions)))
-			}
-			outcome := outcomeOf(err, false)
-			if errors.Is(err, qerr.ErrMaxQuestions) {
-				outcome = "truncated"
-			}
-			if n := s.reg.tracer.FinishRoot(dsp, outcome); n != nil {
-				s.recordTrace(n)
-			}
-		}
-		run.outcome <- feedbackOutcome{idx: idx, tr: tr, err: err}
-	}()
+	return s.turnLocked(ctx, run)
 }
 
 // AnswerFeedback relays the user's verdict on the pending question and
@@ -681,28 +601,21 @@ func (s *Session) AnswerFeedback(ctx context.Context, include bool) (_ FeedbackE
 	if run == nil {
 		return FeedbackEvent{}, fmt.Errorf("service: no feedback dialogue in progress")
 	}
-	cands := make([]*query.Union, len(s.cands))
-	for i, c := range s.cands {
-		cands[i] = c.Query
-	}
 	if run.pending == nil {
-		ev, err := s.nextEventLocked(ctx, run, cands)
+		ev, err := s.turnLocked(ctx, run)
 		if err == nil {
 			ev.Redelivered = true
 		}
 		return ev, err
 	}
-	select {
-	case run.answers <- include:
-		run.pending = nil
-		run.log = append(run.log, include)
-		s.markMutatedLocked(&walRecord{Op: walOpAnswer, Include: include})
-	case <-ctx.Done():
-		return FeedbackEvent{}, qerr.Canceled(ctx.Err())
-	case <-s.ctx.Done():
-		return FeedbackEvent{}, qerr.Canceled(s.ctx.Err())
+	if err := ctx.Err(); err != nil {
+		return FeedbackEvent{}, qerr.Canceled(err)
 	}
-	return s.nextEventLocked(ctx, run, cands)
+	run.d.Answer(include)
+	run.pending = nil
+	run.log = append(run.log, include)
+	s.markMutatedLocked(&walRecord{Op: walOpAnswer, Include: include})
+	return s.turnLocked(ctx, run)
 }
 
 // PendingFeedback returns the dialogue's current event without consuming
@@ -728,53 +641,61 @@ func (s *Session) PendingFeedback(ctx context.Context) (_ FeedbackEvent, err err
 	if run.pending != nil {
 		// Re-serving the already-delivered question changes nothing; the
 		// deferred persist sees a clean session and is a no-op.
-		return FeedbackEvent{Question: run.pending, Questions: run.asked}, nil
+		return FeedbackEvent{Question: run.pending, Questions: run.asked()}, nil
 	}
-	cands := make([]*query.Union, len(s.cands))
-	for i, c := range s.cands {
-		cands[i] = c.Query
-	}
-	return s.nextEventLocked(ctx, run, cands)
+	return s.turnLocked(ctx, run)
 }
 
-// nextEventLocked waits for the dialogue's next question or its outcome;
-// callers hold s.mu.
-func (s *Session) nextEventLocked(ctx context.Context, run *feedbackRun, cands []*query.Union) (FeedbackEvent, error) {
-	select {
-	case q := <-run.questions:
-		run.asked++
-		run.pending = q
-		// Snapshot-only mutation: losing an undelivered pull just means the
-		// restored dialogue re-serves the same question.
-		s.markMutatedLocked(nil)
-		return FeedbackEvent{Question: q, Questions: run.asked}, nil
-	case out := <-run.outcome:
-		s.fb = nil
-		s.markMutatedLocked(nil)
-		truncated := false
-		if out.err != nil {
-			if !errors.Is(out.err, qerr.ErrMaxQuestions) {
-				return FeedbackEvent{}, out.err
-			}
-			truncated = true
+// turnLocked runs the dialogue to its next event — the next question or
+// the outcome — and delivers it; callers hold s.mu. The turn runs under the
+// dialogue's context, so a request that gives up mid-turn does not throw
+// the turn away: the event is left undelivered and the next request gets
+// it without recomputing. A panic mid-turn ends the dialogue (its root span
+// records "panic") and unwinds to the operation's recoverOp.
+func (s *Session) turnLocked(ctx context.Context, run *feedbackRun) (FeedbackEvent, error) {
+	stepped := false
+	defer func() {
+		if !stepped {
+			s.endDialogueLocked("panic")
+			s.markMutatedLocked(nil)
 		}
-		s.result = cands[out.idx]
-		asked := 0
-		if out.tr != nil {
-			asked = len(out.tr.Questions)
-		}
-		return FeedbackEvent{
-			Done:      true,
-			Chosen:    out.idx,
-			Query:     cands[out.idx],
-			Questions: asked,
-			Truncated: truncated,
-		}, nil
-	case <-ctx.Done():
-		return FeedbackEvent{}, qerr.Canceled(ctx.Err())
-	case <-s.ctx.Done():
-		return FeedbackEvent{}, qerr.Canceled(s.ctx.Err())
+	}()
+	q, chosen, err := run.d.Next(run.ctx)
+	stepped = true
+	if cerr := run.ctx.Err(); cerr != nil {
+		// The session is closing. The dialogue stays where it was, so a
+		// shutdown flush still captures its position.
+		return FeedbackEvent{}, qerr.Canceled(cerr)
 	}
+	truncated := errors.Is(err, qerr.ErrMaxQuestions)
+	if err != nil && !truncated {
+		s.endDialogueLocked(outcomeOf(err, false))
+		s.markMutatedLocked(nil)
+		return FeedbackEvent{}, err
+	}
+	if err := ctx.Err(); err != nil {
+		return FeedbackEvent{}, qerr.Canceled(err)
+	}
+	// Delivering a question or an outcome is a snapshot-only mutation:
+	// losing it just means the restored dialogue re-serves it.
+	s.markMutatedLocked(nil)
+	if q != nil {
+		run.pending = q
+		return FeedbackEvent{Question: q, Questions: run.asked()}, nil
+	}
+	outcome := "ok"
+	if truncated {
+		outcome = "truncated"
+	}
+	s.endDialogueLocked(outcome)
+	s.result = run.cands[chosen]
+	return FeedbackEvent{
+		Done:      true,
+		Chosen:    chosen,
+		Query:     run.cands[chosen],
+		Questions: len(run.d.Transcript().Questions),
+		Truncated: truncated,
+	}, nil
 }
 
 // SessionStats is the per-session counter snapshot served at

@@ -128,11 +128,12 @@ type snapChoice struct {
 
 // snapFeedback is the dialogue position: the consumed-answer log plus
 // whether the question after the last answer was already delivered to the
-// client. Restore re-runs the (deterministic) top-k inference, restarts the
-// dialogue goroutine and replays Answers through it, which reproduces the
-// exact question sequence — including the pending question, re-pulled when
-// PendingDelivered is set so a client's re-fetch after the restart is
-// idempotent.
+// client. Restore re-runs the (deterministic) top-k inference, starts a
+// fresh dialogue and replays Answers through it, which reproduces the exact
+// question sequence — including the pending question, recomputed and
+// marked delivered when PendingDelivered is set so a client's re-fetch
+// after the restart is idempotent. Asked is informational: restore derives
+// it from the log.
 type snapFeedback struct {
 	MaxQuestions     int    `json:"max_questions,omitempty"`
 	Answers          []bool `json:"answers"`
@@ -389,7 +390,7 @@ func encodeSessionLocked(s *Session, seq int64) ([]byte, error) {
 		snap.Feedback = &snapFeedback{
 			MaxQuestions:     run.maxQuestions,
 			Answers:          append([]bool(nil), run.log...),
-			Asked:            run.asked,
+			Asked:            run.asked(),
 			PendingDelivered: run.pending != nil,
 		}
 	}

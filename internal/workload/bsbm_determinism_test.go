@@ -53,7 +53,7 @@ func TestBSBMInferenceByteIdenticalAcrossWorkers(t *testing.T) {
 			}
 			rev := eval.New(g)
 			rev.Workers = workers
-			rs, err := rev.ResultsUnionParallel(bg, u, workers)
+			rs, err := rev.Results(bg, u)
 			if err != nil {
 				t.Fatalf("workers=%d ref=%v: results: %v", workers, ref, err)
 			}
