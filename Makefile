@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos crash soak obs-lint api-check snapshot-check cover bench bench-json bench-merge bench-obs-overhead bench-compare bench-partial bench-gateway profile experiments examples serve clean
+.PHONY: all build test race chaos crash soak fuzz obs-lint api-check snapshot-check cover bench bench-json bench-merge bench-obs-overhead bench-compare bench-partial bench-gateway profile experiments examples serve clean
 
 all: build test
 
@@ -64,6 +64,20 @@ crash:
 soak:
 	$(GO) test -race -count=1 -run 'TestSoak' ./cmd/qpsoak/
 
+# Fuzz every Fuzz* target of the module (FuzzParsePromText,
+# FuzzRestoreSnapshot, ...) for 20s each. `go test` already replays each
+# target's committed seed corpus (testdata/fuzz/<target>/) as plain tests;
+# this explores beyond it, finds new failing inputs and writes them there.
+# Not part of `make test`.
+fuzz:
+	@set -e; for file in $$(grep -rl --include='*_test.go' --exclude-dir=dialoguebench '^func Fuzz' .); do \
+		dir=$$(dirname $$file); \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$file); do \
+			echo "== $$target ($$dir)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime=20s $$dir; \
+		done; \
+	done
+
 # Metric-naming gate (DESIGN.md §14): stand up an in-process questprod and
 # qpgate and lint their live /metrics (and the gateway's /metrics/fleet)
 # against the exposition contract — HELP/TYPE on every family, counters
@@ -82,7 +96,7 @@ api-check:
 
 # Durable-format gate: the golden schema test of the session snapshot codec
 # (internal/service/snapshot.go) pins every field of the on-disk snapshot
-# and journal shapes. Additive changes regenerate with
+# shapes. Additive changes regenerate with
 # `go test ./internal/service -run TestSnapshotSchemaGolden -update-snapshot-schema`;
 # shape changes must bump snapshotSchemaVersion and handle old snapshots.
 snapshot-check:

@@ -12,9 +12,9 @@ package main
 //   - the session's cumulative stats survived the crash.
 //
 // This is the integration proof of DESIGN.md §12's crash-consistency
-// argument: every state change is journaled+snapshotted (fsynced) before
-// its HTTP response, so the client's view and the disk's view never
-// diverge by more than an unacknowledged operation.
+// argument: every state change is committed by an atomically renamed,
+// fsynced snapshot before its HTTP response, so the client's view and the
+// disk's view never diverge by more than an unacknowledged operation.
 
 import (
 	"bufio"

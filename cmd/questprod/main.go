@@ -97,7 +97,7 @@ func main() {
 	// until the restore finishes and the real mux is swapped in. A gateway
 	// probing /readyz therefore never routes a session request into a
 	// half-restored process, and a supervisor sees the restarted process as
-	// live while it replays its WAL.
+	// live while it restores its sessions.
 	gate := service.NewReadyGate(*retryAfter)
 	srv := &http.Server{
 		Handler:           gate,

@@ -71,35 +71,3 @@ paper2 wb Erdos .
 	//   paper2 -wb-> Bob
 	//   paper2 -wb-> Erdos
 }
-
-// ExampleEvaluator_HowProvenance annotates a result with its derivation
-// polynomial (the semiring-provenance extension).
-func ExampleEvaluator_HowProvenance() {
-	o, err := ntriples.ParseString(`
-paper2 wb Bob .
-paper2 wb Erdos .
-paper5 wb Bob .
-paper5 wb Erdos .
-`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	q := query.NewSimple()
-	p := q.MustEnsureNode(query.Var("p"), "")
-	a := q.MustEnsureNode(query.Var("a"), "")
-	erdos := q.MustEnsureNode(query.Const("Erdos"), "")
-	q.MustAddEdge(p, a, "wb")
-	q.MustAddEdge(p, erdos, "wb")
-	if err := q.SetProjected(a); err != nil {
-		log.Fatal(err)
-	}
-
-	ev := eval.New(o)
-	poly, err := ev.HowProvenance(bg, q, "Bob", 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%d derivations: %s\n", poly.NumDerivations(), poly.StringOver(o))
-	// Output:
-	// 2 derivations: (paper2-wb->Bob)·(paper2-wb->Erdos) + (paper5-wb->Bob)·(paper5-wb->Erdos)
-}

@@ -38,7 +38,7 @@ const (
 	// SessionSnapshot fires across the session-durability surface:
 	// session-id generation at creation (internal/service), the snapshot
 	// codec's encode path (so panic-in-codec is injectable inside the
-	// session's recovery boundary), and the store's save/load/journal
+	// session's recovery boundary), and the store's save and load
 	// operations (internal/store). One rule therefore drives save-fails,
 	// load-fails and restore failures end to end.
 	SessionSnapshot Point = "session.snapshot"

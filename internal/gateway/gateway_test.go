@@ -282,7 +282,7 @@ func TestGatewayShedWhenBackendDown(t *testing.T) {
 }
 
 // TestGatewayHoldsForRestoringBackend: a NotReady shard (up, /readyz 503 —
-// questprod replaying its WAL) holds its requests rather than shedding,
+// questprod restoring its sessions) holds its requests rather than shedding,
 // and releases them the moment readiness flips.
 func TestGatewayHoldsForRestoringBackend(t *testing.T) {
 	f := newBackendFixture(t, 0)

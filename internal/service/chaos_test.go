@@ -278,9 +278,9 @@ func TestChaosPanicInCodec(t *testing.T) {
 		t.Fatalf("examples: %d", status)
 	}
 
-	// The persist path hits faults.SessionSnapshot twice per journaled op:
-	// the journal append, then the codec encode. OnNth selects the encode.
-	in := faults.NewInjector(8, faults.Rule{Point: faults.SessionSnapshot, OnNth: 2, Panic: true})
+	// The persist path hits faults.SessionSnapshot twice per op: the codec
+	// encode, then the store save. OnNth selects the encode.
+	in := faults.NewInjector(8, faults.Rule{Point: faults.SessionSnapshot, OnNth: 1, Panic: true})
 	restore := faults.Activate(in)
 	status, resp = c.post(base+"/infer", map[string]any{"mode": "topk"})
 	restore()

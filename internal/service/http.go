@@ -465,7 +465,7 @@ func writeMetrics(w io.Writer, reg *Registry) {
 		{"questprod_degraded_total", "counter", "Inferences that returned a degraded (guard-exhausted) result.", int64(m.DegradedInfer)},
 		{"questprod_snapshot_writes_total", "counter", "Session snapshots durably committed to the store.", int64(m.SnapshotWrites)},
 		{"questprod_snapshot_restores_total", "counter", "Sessions restored from the store at startup.", int64(m.SnapshotRestores)},
-		{"questprod_snapshot_quarantined_total", "counter", "Corrupt or torn snapshot/journal files moved to quarantine.", int64(m.SnapshotQuarantined)},
+		{"questprod_snapshot_quarantined_total", "counter", "Unrestorable snapshots and legacy journal files moved to quarantine.", int64(m.SnapshotQuarantined)},
 		{"questprod_snapshot_errors_total", "counter", "Failed snapshot persistence operations (session left dirty).", int64(m.SnapshotErrors)},
 	}
 	for _, s := range series {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -15,75 +14,29 @@ import (
 )
 
 // This file integrates the snapshot codec (snapshot.go) and the store
-// (internal/store) into the session lifecycle: journal-then-snapshot after
-// every state-changing operation, restore-on-startup with WAL replay, and
-// dialogue resumption (DESIGN.md §12).
+// (internal/store) into the session lifecycle: a snapshot after every
+// state-changing operation, restore on startup, and dialogue resumption
+// (DESIGN.md §12).
 //
 // The durability protocol, per mutating operation, all under s.mu and all
 // BEFORE the HTTP response is written (the persist runs on the operation's
-// deferred unwind, inside the mutex):
+// deferred unwind, inside the mutex): the operation applies its mutation
+// in memory and calls markMutatedLocked; persistPendingLocked then encodes
+// the whole session and store.Save swaps it in atomically. Save's rename
+// is the one commit point.
 //
-//  1. the operation applies its mutation in memory and calls
-//     markMutatedLocked, optionally staging a WAL record describing how to
-//     re-execute it;
-//  2. persistPendingLocked appends the WAL record (fsynced) — from here the
-//     operation survives a crash even if the snapshot write is torn;
-//  3. the full session state is encoded and atomically swapped in as the
-//     new snapshot; on success the WAL is truncated (the snapshot subsumes
-//     it).
-//
-// Crash windows: before the WAL append, the operation is simply lost — and
-// so is its response, so the client retries against the pre-operation
-// state; after the WAL append, restore replays the record against the
-// previous snapshot, and because inference and the dialogue kernel are
-// deterministic the replay reconstructs the exact post-operation state. A
+// Crash windows: before the rename, the operation is lost — and so is its
+// response, so the client retries against the pre-operation state; after
+// it, restore loads exactly the state whose result the client saw. A
 // *failed* persist (disk error, injected fault) is availability-first: the
 // operation still succeeds, the session is left dirty (mutSeq > savedSeq),
 // the failure is logged and counted, and the next operation — or
-// Registry.Close — retries the flush.
-
-// walOp names the state-changing operations the journal can replay.
-const (
-	walOpExamples = "examples"
-	walOpInfer    = "infer"
-	walOpFeedback = "feedback"
-	walOpAnswer   = "answer"
-)
-
-// walRecord is one journaled operation: enough to re-execute the public
-// session op against the preceding snapshot.
-type walRecord struct {
-	Seq int64  `json:"seq"`
-	Op  string `json:"op"`
-
-	// Examples/Partial carry the submitted set for walOpExamples (IsPartial
-	// selects the fragment mode).
-	Examples  []snapExample `json:"examples,omitempty"`
-	Partial   []snapExample `json:"partial,omitempty"`
-	IsPartial bool          `json:"is_partial,omitempty"`
-
-	Mode    string `json:"mode,omitempty"`    // walOpInfer
-	Max     int    `json:"max,omitempty"`     // walOpFeedback
-	Include bool   `json:"include,omitempty"` // walOpAnswer
-
-	// appended tracks whether this record already reached the journal, so
-	// a persist retried after a failed snapshot write does not append it
-	// twice. In-memory only.
-	appended bool
-}
+// Registry.Close — retries the flush. Until then the acknowledged
+// operation is held only in memory.
 
 // markMutatedLocked records that the current operation changed durable
-// session state. w, when non-nil, is the journal record that re-executes
-// the operation; nil marks a snapshot-only mutation (e.g. filling the
-// completion cache on an otherwise-failed inference, or delivering a
-// buffered dialogue question) whose loss a client retry reconstructs.
-// Callers hold s.mu.
-func (s *Session) markMutatedLocked(w *walRecord) {
-	s.opDirty = true
-	if w != nil {
-		s.opWAL = w
-	}
-}
+// session state. Callers hold s.mu.
+func (s *Session) markMutatedLocked() { s.opDirty = true }
 
 // persistPendingLocked is the snapshot-after-mutation hook: every session
 // operation defers it (inside the mutex, before the response is written).
@@ -91,14 +44,11 @@ func (s *Session) markMutatedLocked(w *walRecord) {
 func (s *Session) persistPendingLocked(ctx context.Context) {
 	st := s.reg.cfg.Store
 	if st == nil {
-		s.opDirty, s.opWAL = false, nil
+		s.opDirty = false
 		return
 	}
 	if s.opDirty {
 		s.mutSeq++
-		if s.opWAL != nil {
-			s.opWAL.Seq = s.mutSeq
-		}
 		s.opDirty = false
 	}
 	if s.mutSeq == s.savedSeq {
@@ -106,23 +56,10 @@ func (s *Session) persistPendingLocked(ctx context.Context) {
 	}
 	_, sp := obs.StartSpan(ctx, "snapshot.save")
 	sp.SetInt("seq", s.mutSeq)
-	err := func() error {
-		if w := s.opWAL; w != nil && !w.appended {
-			rec, err := json.Marshal(w)
-			if err != nil {
-				return fmt.Errorf("encoding journal record: %w", err)
-			}
-			if err := st.AppendWAL(s.ID, rec); err != nil {
-				return err
-			}
-			w.appended = true
-		}
-		data, err := encodeSessionLocked(s, s.mutSeq)
-		if err != nil {
-			return err
-		}
-		return st.Save(s.ID, data)
-	}()
+	data, err := encodeSessionLocked(s, s.mutSeq)
+	if err == nil {
+		err = st.Save(s.ID, data)
+	}
 	if err != nil {
 		sp.SetOutcome("error")
 		sp.Finish()
@@ -132,12 +69,6 @@ func (s *Session) persistPendingLocked(ctx context.Context) {
 		return
 	}
 	s.savedSeq = s.mutSeq
-	s.opWAL = nil
-	if err := st.ResetWAL(s.ID); err != nil {
-		// Not fatal: stale journal entries carry seq <= savedSeq and replay
-		// skips them.
-		s.reg.logger.Warn("journal truncate failed", "session_id", s.ID, "error", err)
-	}
 	sp.SetOutcome("ok")
 	sp.Finish()
 	s.reg.recordSnapshotWrite()
@@ -151,7 +82,7 @@ func (s *Session) persistInitial() {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.markMutatedLocked(nil)
+	s.markMutatedLocked()
 	s.persistPendingLocked(context.Background())
 }
 
@@ -169,8 +100,18 @@ func (s *Session) flushToStore() {
 
 // restoreAll loads every stored snapshot into the registry; called by
 // NewRegistry before the janitor starts, so persisted idle clocks are
-// honored by the first eviction scan rather than racing it.
+// honored by the first eviction scan rather than racing it. Journals an
+// older build left behind are swept first: they are never replayed, so a
+// non-empty one is quarantined and counted like any unrestorable file.
 func (r *Registry) restoreAll() {
+	journals, err := r.cfg.Store.SweepJournals()
+	for _, id := range journals {
+		r.recordSnapshotQuarantine()
+		r.logger.Warn("legacy session journal quarantined, not replayed", "session_id", id)
+	}
+	if err != nil {
+		r.logger.Error("legacy session journal sweep incomplete", "error", err)
+	}
 	ids, err := r.cfg.Store.List()
 	if err != nil {
 		r.logger.Error("session store unreadable; starting empty", "error", err)
@@ -187,8 +128,8 @@ func (r *Registry) restoreAll() {
 	}
 }
 
-// restoreOne rebuilds one session from its snapshot and journal. Every
-// failure mode is contained to the one session: corrupt and undecodable
+// restoreOne rebuilds one session from its snapshot. Every failure mode
+// is contained to the one session: corrupt, undecodable and invalid
 // snapshots are quarantined (the store moves them aside), load errors are
 // skipped, and a panic out of the decode path — the chaos suite injects
 // one — is caught here, quarantines the snapshot, and lets startup
@@ -256,7 +197,6 @@ func (r *Registry) restoreOne(id string) (restored bool) {
 	r.snapRestoresTotal++
 	r.mu.Unlock()
 
-	r.replayWAL(s, snap.Seq)
 	r.logger.Info("session restored", "session_id", id, "seq", snap.Seq,
 		"dialogue_active", snap.Feedback != nil)
 	outcome = "ok"
@@ -378,70 +318,4 @@ func (s *Session) resumeDialogue(fb *snapFeedback) error {
 		run.pending = q
 	}
 	return nil
-}
-
-// replayWAL re-executes journaled operations newer than the snapshot, in
-// order. Each replayed operation runs through the public session method —
-// re-persisting itself on the way — so after replay the snapshot has
-// caught up and the journal is truncated. A record that fails to apply
-// stops the replay (state beyond it is unknowable); the session keeps the
-// state reached so far.
-func (r *Registry) replayWAL(s *Session, snapSeq int64) {
-	recs, torn, err := r.cfg.Store.LoadWAL(s.ID)
-	if torn {
-		r.recordSnapshotQuarantine()
-		r.logger.Warn("torn journal tail quarantined", "session_id", s.ID)
-	}
-	if err != nil {
-		r.logger.Error("journal unreadable; skipping replay", "session_id", s.ID, "error", err)
-		return
-	}
-	last := snapSeq
-	for _, raw := range recs {
-		var w walRecord
-		if err := json.Unmarshal(raw, &w); err != nil {
-			r.logger.Error("undecodable journal record; replay stopped", "session_id", s.ID, "error", err)
-			return
-		}
-		if w.Seq <= last {
-			continue // already subsumed by the snapshot (or a duplicate append)
-		}
-		last = w.Seq
-		if err := s.applyWAL(w); err != nil {
-			r.logger.Error("journal replay stopped", "session_id", s.ID, "seq", w.Seq, "op", w.Op, "error", err)
-			return
-		}
-		r.logger.Info("journal record replayed", "session_id", s.ID, "seq", w.Seq, "op", w.Op)
-	}
-}
-
-// applyWAL re-executes one journaled operation through the public API.
-func (s *Session) applyWAL(w walRecord) error {
-	ctx := s.ctx
-	switch w.Op {
-	case walOpExamples:
-		if w.IsPartial {
-			pex, err := snapToPartial(w.Partial)
-			if err != nil {
-				return err
-			}
-			return s.SetPartialExamples(ctx, pex)
-		}
-		exs, err := snapToExamples(w.Examples)
-		if err != nil {
-			return err
-		}
-		return s.SetExamples(ctx, exs)
-	case walOpInfer:
-		_, err := s.Infer(ctx, w.Mode)
-		return err
-	case walOpFeedback:
-		_, err := s.StartFeedback(ctx, w.Max)
-		return err
-	case walOpAnswer:
-		_, err := s.AnswerFeedback(ctx, w.Include)
-		return err
-	default:
-		return fmt.Errorf("unknown journal op %q", w.Op)
-	}
 }

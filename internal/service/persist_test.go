@@ -1,18 +1,22 @@
 package service
 
 // In-package tests of the durability layer (persist.go + snapshot.go over
-// internal/store): restore fidelity across a registry restart, WAL replay,
-// quarantine on restore, idle-clock preservation, eviction GC, and the
-// Close-time flush of sessions left dirty by injected persist failures.
+// internal/store): restore fidelity across a registry restart, quarantine
+// on restore (corrupt or invalid snapshots, legacy journals), idle-clock
+// preservation, eviction GC, and the Close-time flush of sessions left
+// dirty by injected persist failures.
 // The kill -9 variant of the same scenario lives in cmd/questprod's crash
 // harness; here the "crash" is a graceful Close so the tests stay hermetic
 // and fast.
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -163,7 +167,7 @@ func TestRestoreHonorsIdleClock(t *testing.T) {
 	// Backdate the idle clock and force one more snapshot so it lands on disk.
 	s.last.Store(time.Now().Add(-time.Hour).UnixNano())
 	s.mu.Lock()
-	s.markMutatedLocked(nil)
+	s.markMutatedLocked()
 	s.persistPendingLocked(context.Background())
 	s.mu.Unlock()
 	r1.Close()
@@ -192,7 +196,7 @@ func TestRestoreHonorsIdleClock(t *testing.T) {
 }
 
 // TestEvictionDeletesSnapshot: TTL eviction garbage-collects the evicted
-// session's snapshot and journal — no orphaned files accumulate.
+// session's snapshot — no orphaned files accumulate.
 func TestEvictionDeletesSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
@@ -262,68 +266,11 @@ func TestCloseFlushesDirtySessions(t *testing.T) {
 	}
 }
 
-// TestWALReplayAfterTornSnapshot: a journal record newer than the snapshot
-// (the post-WAL-append, pre-snapshot crash window) is replayed through the
-// public session op on restore — and the replay re-persists, so a second
-// restart needs no journal at all.
-func TestWALReplayAfterTornSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	r1 := NewRegistry(Config{Store: openStore(t, dir)})
-	s := createPaperfix(t, r1)
-	id := s.ID
-	r1.Close()
-
-	// Simulate the crash window: the infer's journal record landed, the
-	// snapshot after it did not.
-	st2 := openStore(t, dir)
-	data, err := st2.Load(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := decodeSessionSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := json.Marshal(walRecord{Seq: snap.Seq + 1, Op: walOpInfer, Mode: "union"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.AppendWAL(id, rec); err != nil {
-		t.Fatal(err)
-	}
-
-	r2 := NewRegistry(Config{Store: st2})
-	s2, ok := r2.Get(id)
-	if !ok {
-		t.Fatalf("session %s not restored", id)
-	}
-	if st := s2.Stats(); st.Infers != 1 || !st.HasQuery {
-		t.Fatalf("journal record not replayed: %+v", st)
-	}
-	wantSPARQL := s2.Result().SPARQL()
-	r2.Close()
-
-	// The replayed op re-persisted itself: a third incarnation restores the
-	// same state from the snapshot alone.
-	r3 := newTestRegistry(t, Config{Store: openStore(t, dir)})
-	s3, ok := r3.Get(id)
-	if !ok {
-		t.Fatal("session lost after replay-then-restart")
-	}
-	if st := s3.Stats(); st.Infers != 1 {
-		t.Fatalf("replay did not catch the snapshot up: %+v", st)
-	}
-	if got := s3.Result().SPARQL(); got != wantSPARQL {
-		t.Fatalf("SPARQL diverged across restarts:\n%s\n--- want ---\n%s", got, wantSPARQL)
-	}
-}
-
 // TestCorruptSnapshotQuarantinedOnRestore: a garbage snapshot file is moved
 // to quarantine during restore, counted, and the registry comes up healthy.
 func TestCorruptSnapshotQuarantinedOnRestore(t *testing.T) {
 	dir := t.TempDir()
-	st := openStore(t, dir)
-	st.Close()
+	openStore(t, dir)
 	if err := os.WriteFile(filepath.Join(dir, "deadbeef.snap"), []byte("not a snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -345,6 +292,110 @@ func TestCorruptSnapshotQuarantinedOnRestore(t *testing.T) {
 	s := createPaperfix(t, r)
 	if _, ok := r.Get(s.ID); !ok {
 		t.Fatal("fresh session unusable after a quarantined restore")
+	}
+}
+
+// TestInvalidSnapshotQuarantinedOnRestore: a snapshot whose frame and JSON
+// are sound but whose example-sets fail the checks SetExamples and
+// SetPartialExamples apply is quarantined like a corrupt one, instead of
+// restoring a session on which every Infer fails.
+func TestInvalidSnapshotQuarantinedOnRestore(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		poison func(*sessionSnapshot)
+	}{
+		{"examples", func(snap *sessionSnapshot) { snap.Examples[0].Distinguished = 9999 }},
+		{"completed", func(snap *sessionSnapshot) {
+			snap.Completed = append([]snapExample(nil), snap.Examples...)
+			snap.Completed[0].Distinguished = 9999
+		}},
+		{"partial", func(snap *sessionSnapshot) {
+			snap.Partial, snap.Examples = snap.Examples, nil
+			snap.Partial[0].Distinguished = 9999
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r1 := NewRegistry(Config{Store: openStore(t, dir)})
+			id := createPaperfix(t, r1).ID
+			r1.Close()
+
+			st := openStore(t, dir)
+			data, err := st.Load(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := decodeSessionSnapshot(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.poison(snap)
+			if data, err = json.Marshal(snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Save(id, data); err != nil {
+				t.Fatal(err)
+			}
+
+			r2 := newTestRegistry(t, Config{Store: st})
+			if got := r2.Metrics().SnapshotQuarantined; got != 1 {
+				t.Fatalf("SnapshotQuarantined = %d, want 1", got)
+			}
+			if _, ok := r2.Get(id); ok {
+				t.Fatal("session with an invalid example-set restored")
+			}
+			if ids, _ := st.List(); len(ids) != 0 {
+				t.Fatalf("invalid snapshot %v left in place", ids)
+			}
+		})
+	}
+}
+
+// TestLegacyJournalsSweptOnRestore: the <id>.wal files an older build's
+// write-ahead journal left behind are never replayed. An empty one is
+// deleted; a non-empty one is quarantined and counted, and its session
+// restores from the snapshot alone.
+func TestLegacyJournalsSweptOnRestore(t *testing.T) {
+	dir := t.TempDir()
+	r1 := NewRegistry(Config{Store: openStore(t, dir)})
+	full, empty := createPaperfix(t, r1).ID, createPaperfix(t, r1).ID
+	r1.Close()
+
+	// The non-empty journal holds one record in the older build's frame
+	// (length, CRC32, JSON): an inference the snapshot never saw.
+	rec := []byte(`{"seq":99,"op":"infer","mode":"union"}`)
+	frame := binary.LittleEndian.AppendUint32(nil, uint32(len(rec)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(rec))
+	frame = append(frame, rec...)
+	if err := os.WriteFile(filepath.Join(dir, full+".wal"), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, empty+".wal"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := newTestRegistry(t, Config{Store: openStore(t, dir)})
+	if got := r2.Metrics().SnapshotQuarantined; got != 1 {
+		t.Fatalf("SnapshotQuarantined = %d, want 1", got)
+	}
+	for _, id := range []string{full, empty} {
+		s, ok := r2.Get(id)
+		if !ok {
+			t.Fatalf("session %s not restored", id)
+		}
+		if st := s.Stats(); st.Infers != 0 || st.HasQuery {
+			t.Fatalf("session %s replayed its journal: %+v", id, st)
+		}
+		if _, err := os.Stat(filepath.Join(dir, id+".wal")); !os.IsNotExist(err) {
+			t.Fatalf("journal of %s still in the data dir: %v", id, err)
+		}
+	}
+	ents, err := os.ReadDir(filepath.Join(dir, "quarantine"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || !strings.HasPrefix(ents[0].Name(), full+".wal.") {
+		t.Fatalf("quarantine holds %v, want only the non-empty journal", ents)
 	}
 }
 

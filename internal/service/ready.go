@@ -14,8 +14,8 @@ import (
 // ReadyGate is the startup-readiness front of a questprod process. The
 // listener comes up immediately — liveness probes and supervisors see the
 // process — but every API route answers 503 + Retry-After until the
-// registry finishes restoring its durable sessions (snapshot decode + WAL
-// replay can take real time on a large -data-dir). The qpgate gateway
+// registry finishes restoring its durable sessions (snapshot decode and
+// dialogue resumption can take real time on a large -data-dir). The qpgate gateway
 // probes GET /readyz and holds traffic for a backend until it flips, so a
 // restarting shard is never asked about sessions it has not re-loaded yet.
 //

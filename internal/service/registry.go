@@ -75,12 +75,11 @@ type Config struct {
 	DisableTracing bool
 
 	// Store, when non-nil, enables durable session persistence (DESIGN.md
-	// §12): every state-changing operation is journaled and snapshotted
-	// into it before its response is written, NewRegistry restores the
-	// stored sessions (resuming in-flight feedback dialogues), the TTL
-	// janitor deletes the snapshots of the sessions it evicts, and Close —
-	// which takes ownership of the store and closes it — flushes dirty
-	// sessions first. nil, the default, disables persistence entirely; the
+	// §12): every state-changing operation is snapshotted into it before
+	// its response is written, NewRegistry restores the stored sessions
+	// (resuming in-flight feedback dialogues), the TTL janitor deletes the
+	// snapshots of the sessions it evicts, and Close flushes dirty
+	// sessions. nil, the default, disables persistence entirely; the
 	// session hot path then pays one nil check per operation.
 	Store *store.Store
 }
@@ -395,8 +394,7 @@ func (r *Registry) Budget() *conc.Budget { return r.budget }
 // stops the janitor and waits for it to exit, so a server shutdown leaks
 // nothing. With a store configured, every dirty session is
 // flushed to it first — BEFORE the session is torn down, because teardown
-// discards the dialogue state the flush must capture — and the store
-// (owned by the registry since NewRegistry) is closed last.
+// discards the dialogue state the flush must capture.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.closed {
@@ -418,11 +416,6 @@ func (r *Registry) Close() {
 		// state, dialogue position included.
 		s.flushToStore()
 		s.close()
-	}
-	if st := r.cfg.Store; st != nil {
-		if err := st.Close(); err != nil {
-			r.logger.Warn("session store close failed", "error", err)
-		}
 	}
 	<-r.janitorDone
 }
@@ -462,16 +455,16 @@ func (r *Registry) recordSnapshotWrite() {
 	r.mu.Unlock()
 }
 
-// recordSnapshotQuarantine counts one corrupt/torn/poisoned file moved to
-// quarantine.
+// recordSnapshotQuarantine counts one corrupt, invalid or poisoned
+// snapshot, or one legacy journal, moved to quarantine.
 func (r *Registry) recordSnapshotQuarantine() {
 	r.mu.Lock()
 	r.snapQuarantinedTotal++
 	r.mu.Unlock()
 }
 
-// recordSnapshotError counts one failed persistence operation (save,
-// journal append, load or delete) that did NOT condemn a file.
+// recordSnapshotError counts one failed persistence operation (save, load
+// or delete) that did NOT condemn a file.
 func (r *Registry) recordSnapshotError() {
 	r.mu.Lock()
 	r.snapErrorsTotal++

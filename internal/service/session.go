@@ -77,14 +77,13 @@ type Session struct {
 	// Durability bookkeeping (DESIGN.md §12), guarded by mu. mutSeq counts
 	// committed state-changing operations and savedSeq the last sequence
 	// durably snapshotted (dirty ⇔ mutSeq > savedSeq, so a failed persist
-	// is retried by the next operation or the Close flush); opDirty/opWAL
-	// stage the in-flight operation's mutation flag and journal record for
-	// the deferred persistPendingLocked. All four are inert — one nil
-	// check per operation — when the registry runs without a store.
+	// is retried by the next operation or the Close flush); opDirty
+	// stages the in-flight operation's mutation flag for the deferred
+	// persistPendingLocked. All three are inert — one nil check per
+	// operation — when the registry runs without a store.
 	mutSeq   int64
 	savedSeq int64
 	opDirty  bool
-	opWAL    *walRecord
 
 	// traces is the ring of the session's most recent finished operation
 	// traces (root span snapshots, oldest first), served at
@@ -256,7 +255,7 @@ func (s *Session) SetExamples(ctx context.Context, exs provenance.ExampleSet) (e
 	s.compReport = nil
 	s.result = nil
 	s.cands = nil
-	s.markMutatedLocked(&walRecord{Op: walOpExamples, Examples: examplesToSnap(exs)})
+	s.markMutatedLocked()
 	return nil
 }
 
@@ -287,7 +286,7 @@ func (s *Session) SetPartialExamples(ctx context.Context, pex provenance.Partial
 	s.compReport = nil
 	s.result = nil
 	s.cands = nil
-	s.markMutatedLocked(&walRecord{Op: walOpExamples, Partial: partialToSnap(pex), IsPartial: true})
+	s.markMutatedLocked()
 	return nil
 }
 
@@ -382,9 +381,9 @@ func (s *Session) Infer(ctx context.Context, mode string) (res InferResult, err 
 			s.completed, s.compReport = completed, &rep
 			ranCompletion = true
 			// The cache is durable state even when the inference below
-			// fails: snapshot-only (a lost cache is deterministically
-			// recomputed by the client's retry, no journal record needed).
-			s.markMutatedLocked(nil)
+			// fails (a lost cache is deterministically recomputed by the
+			// client's retry).
+			s.markMutatedLocked()
 		}
 		exs = s.completed
 		res.Completions, res.Completed = s.compReport, s.completed
@@ -443,7 +442,7 @@ func (s *Session) Infer(ctx context.Context, mode string) (res InferResult, err 
 	s.counters.Add(stats.Counters())
 	s.infers++
 	s.reg.recordInfer(stats)
-	s.markMutatedLocked(&walRecord{Op: walOpInfer, Mode: mode})
+	s.markMutatedLocked()
 	return res, nil
 }
 
@@ -576,7 +575,7 @@ func (s *Session) StartFeedback(ctx context.Context, max int) (_ FeedbackEvent, 
 		cands[i] = c.Query
 	}
 	run := s.startDialogueLocked(cands, max)
-	s.markMutatedLocked(&walRecord{Op: walOpFeedback, Max: max})
+	s.markMutatedLocked()
 	return s.turnLocked(ctx, run)
 }
 
@@ -614,7 +613,7 @@ func (s *Session) AnswerFeedback(ctx context.Context, include bool) (_ FeedbackE
 	run.d.Answer(include)
 	run.pending = nil
 	run.log = append(run.log, include)
-	s.markMutatedLocked(&walRecord{Op: walOpAnswer, Include: include})
+	s.markMutatedLocked()
 	return s.turnLocked(ctx, run)
 }
 
@@ -657,7 +656,7 @@ func (s *Session) turnLocked(ctx context.Context, run *feedbackRun) (FeedbackEve
 	defer func() {
 		if !stepped {
 			s.endDialogueLocked("panic")
-			s.markMutatedLocked(nil)
+			s.markMutatedLocked()
 		}
 	}()
 	q, chosen, err := run.d.Next(run.ctx)
@@ -670,15 +669,15 @@ func (s *Session) turnLocked(ctx context.Context, run *feedbackRun) (FeedbackEve
 	truncated := errors.Is(err, qerr.ErrMaxQuestions)
 	if err != nil && !truncated {
 		s.endDialogueLocked(outcomeOf(err, false))
-		s.markMutatedLocked(nil)
+		s.markMutatedLocked()
 		return FeedbackEvent{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return FeedbackEvent{}, qerr.Canceled(err)
 	}
-	// Delivering a question or an outcome is a snapshot-only mutation:
-	// losing it just means the restored dialogue re-serves it.
-	s.markMutatedLocked(nil)
+	// Delivering a question or an outcome is a mutation: losing it just
+	// means the restored dialogue re-serves it.
+	s.markMutatedLocked()
 	if q != nil {
 		run.pending = q
 		return FeedbackEvent{Question: q, Questions: run.asked()}, nil

@@ -211,7 +211,7 @@ func snapToExamples(in []snapExample) (provenance.ExampleSet, error) {
 		}
 		out[i] = provenance.Explanation{Graph: g, Distinguished: graph.NodeID(se.Distinguished)}
 	}
-	return out, nil
+	return out, out.Validate()
 }
 
 func partialToSnap(pex provenance.PartialExampleSet) []snapExample {
@@ -245,7 +245,7 @@ func snapToPartial(in []snapExample) (provenance.PartialExampleSet, error) {
 			MissingEdges:  se.MissingEdges,
 		}
 	}
-	return out, nil
+	return out, out.Validate()
 }
 
 func optionsToSnap(o core.Options) snapOptions {

@@ -14,7 +14,7 @@ var updateSnapSchema = flag.Bool("update-snapshot-schema", false,
 	"rewrite the golden snapshot-schema file")
 
 // snapshotTypes enumerates every type that reaches the on-disk snapshot
-// (and journal) encoding. A new durable field must be added here and to
+// encoding. A new durable field must be added here and to
 // the golden file to become part of the contract.
 var snapshotTypes = []any{
 	sessionSnapshot{},
@@ -27,7 +27,6 @@ var snapshotTypes = []any{
 	snapChoice{},
 	snapFeedback{},
 	snapCounters{},
-	walRecord{},
 }
 
 // renderSnapshotSchema flattens the codec's on-disk contract exactly the

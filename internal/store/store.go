@@ -1,25 +1,21 @@
 // Package store is the durability substrate of the session registry: a
-// crash-safe, dependency-free snapshot store with a per-session write-ahead
-// journal. The service layer serializes a session into an opaque payload
-// (internal/service's versioned snapshot codec) and hands it here; this
-// package owns the file discipline that makes a SIGKILL at any instant
-// recoverable:
+// crash-safe, dependency-free snapshot store. The service layer serializes
+// a session into an opaque payload (internal/service's versioned snapshot
+// codec) and hands it here; this package owns the file discipline that
+// makes a SIGKILL at any instant recoverable:
 //
-//   - snapshots are written to a temp file, fsynced, renamed into place and
-//     the directory fsynced, so a reader sees either the old snapshot or
-//     the new one, never a torn hybrid;
+//   - Save writes a temp file, fsyncs it, renames it into place and fsyncs
+//     the directory. The rename is the commit point: a reader sees either
+//     the old snapshot or the new one, never a torn hybrid;
 //   - every payload is framed with a magic string, a length and a CRC32,
 //     so bit rot and truncation are detected on load instead of being
 //     decoded into garbage state;
 //   - a corrupt or truncated file is moved into a quarantine directory —
-//     kept for forensics, never retried, never able to wedge startup;
-//   - the write-ahead journal appends CRC-framed records with an fsync per
-//     append, and a torn tail (the record being written when the process
-//     died) is dropped while the intact prefix is replayed.
+//     kept for forensics, never retried, never able to wedge startup.
 //
-// The faults.SessionSnapshot injection point fires on every save, load and
-// journal append, so the chaos harness can drive save-fails, load-fails
-// and codec panics through the same paths production takes.
+// The faults.SessionSnapshot injection point fires on every save and load,
+// so the chaos harness can drive save-fails, load-fails and codec panics
+// through the same paths production takes.
 package store
 
 import (
@@ -31,7 +27,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"questpro/internal/faults"
@@ -40,7 +35,7 @@ import (
 const (
 	snapMagic     = "QPSNAP01" // bumped only if the frame layout changes
 	snapSuffix    = ".snap"
-	walSuffix     = ".wal"
+	journalSuffix = ".wal" // an older build's write-ahead journal
 	tmpSuffix     = ".tmp"
 	quarantineDir = "quarantine"
 )
@@ -52,15 +47,11 @@ var (
 	ErrCorrupt  = errors.New("store: corrupt snapshot")
 )
 
-// Store persists session snapshots and journals under one directory.
-// Construct with Open; safe for concurrent use (the service serializes
-// per-session access already, the store's lock only guards the journal
-// handle cache).
+// Store persists session snapshots under one directory. Construct with
+// Open; it holds no open files, so it is safe for concurrent use and
+// needs no Close.
 type Store struct {
 	dir string
-
-	mu   sync.Mutex
-	wals map[string]*os.File // cached append handles, keyed by session id
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -68,26 +59,11 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: opening %s: %w", dir, err)
 	}
-	return &Store{dir: dir, wals: make(map[string]*os.File)}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir reports the store's root directory.
 func (s *Store) Dir() string { return s.dir }
-
-// Close releases cached journal handles. Snapshots already on disk are
-// unaffected.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var first error
-	for id, f := range s.wals {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(s.wals, id)
-	}
-	return first
-}
 
 // validID rejects ids that could escape the store directory. Session ids
 // are hex strings; anything with a path separator or a leading dot is
@@ -100,7 +76,6 @@ func validID(id string) error {
 }
 
 func (s *Store) snapPath(id string) string { return filepath.Join(s.dir, id+snapSuffix) }
-func (s *Store) walPath(id string) string  { return filepath.Join(s.dir, id+walSuffix) }
 
 // frame prepends the snapshot header: magic, payload length, CRC32.
 func frame(payload []byte) []byte {
@@ -202,142 +177,69 @@ func (s *Store) Quarantine(id string) error {
 	if err := validID(id); err != nil {
 		return err
 	}
-	dst := filepath.Join(s.dir, quarantineDir,
-		fmt.Sprintf("%s%s.%d", id, snapSuffix, time.Now().UnixNano()))
-	if err := os.Rename(s.snapPath(id), dst); err != nil {
-		return fmt.Errorf("store: quarantining %s: %w", id, err)
+	return s.quarantineFile(id + snapSuffix)
+}
+
+// quarantineFile moves the named file of the store directory into
+// quarantine, suffixed with the time so repeated offenders never collide.
+func (s *Store) quarantineFile(name string) error {
+	dst := filepath.Join(s.dir, quarantineDir, fmt.Sprintf("%s.%d", name, time.Now().UnixNano()))
+	if err := os.Rename(filepath.Join(s.dir, name), dst); err != nil {
+		return fmt.Errorf("store: quarantining %s: %w", name, err)
 	}
 	return s.syncDir()
 }
 
-// walFile returns (opening and caching if needed) the journal append handle.
-func (s *Store) walFile(id string) (*os.File, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.wals[id]; ok {
-		return f, nil
-	}
-	f, err := os.OpenFile(s.walPath(id), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+// SweepJournals disposes of the <id>.wal files an older build's
+// write-ahead journal left next to its snapshots. This build commits by
+// snapshot alone and never replays them: an empty journal is deleted, and
+// a non-empty one — operations the older build journaled but perhaps never
+// snapshotted — is moved into quarantine for forensics. It returns the
+// session ids whose journals were quarantined; an error on one file does
+// not stop the sweep of the others.
+func (s *Store) SweepJournals() (quarantined []string, err error) {
+	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: opening journal %s: %w", id, err)
+		return nil, fmt.Errorf("store: listing %s: %w", s.dir, err)
 	}
-	s.wals[id] = f
-	return f, nil
+	var errs []error
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, journalSuffix) {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			errs = append(errs, fmt.Errorf("store: %s: %w", name, err))
+			continue
+		}
+		if info.Size() == 0 {
+			if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
+				errs = append(errs, fmt.Errorf("store: deleting %s: %w", name, err))
+			}
+			continue
+		}
+		if err := s.quarantineFile(name); err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		quarantined = append(quarantined, strings.TrimSuffix(name, journalSuffix))
+	}
+	if err := s.syncDir(); err != nil {
+		errs = append(errs, err)
+	}
+	return quarantined, errors.Join(errs...)
 }
 
-// AppendWAL appends one CRC-framed record to the session's write-ahead
-// journal and fsyncs it, so a state-changing operation is durable before
-// the server acknowledges it even when the follow-up snapshot never lands.
-func (s *Store) AppendWAL(id string, rec []byte) error {
-	if err := validID(id); err != nil {
-		return err
-	}
-	if err := faults.Fire(faults.SessionSnapshot); err != nil {
-		return fmt.Errorf("store: journal %s: %w", id, err)
-	}
-	f, err := s.walFile(id)
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, 0, 8+len(rec))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(rec))
-	buf = append(buf, rec...)
-	if _, err := f.Write(buf); err != nil {
-		return fmt.Errorf("store: journal %s: %w", id, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("store: journal %s: fsync: %w", id, err)
-	}
-	return nil
-}
-
-// LoadWAL reads the session's journal records in append order. A torn or
-// corrupt tail — the record being written when the process died — ends the
-// read: the intact prefix is returned, and when anything beyond a clean
-// EOF was dropped the journal file is quarantined and quarantined reports
-// true. A missing journal is an empty one.
-func (s *Store) LoadWAL(id string) (recs [][]byte, quarantined bool, err error) {
-	if err := validID(id); err != nil {
-		return nil, false, err
-	}
-	data, err := os.ReadFile(s.walPath(id))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
-		return nil, false, fmt.Errorf("store: reading journal %s: %w", id, err)
-	}
-	off := 0
-	torn := false
-	for off < len(data) {
-		if len(data)-off < 8 {
-			torn = true
-			break
-		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if len(data)-off-8 < n {
-			torn = true
-			break
-		}
-		rec := data[off+8 : off+8+n]
-		if crc32.ChecksumIEEE(rec) != sum {
-			torn = true
-			break
-		}
-		recs = append(recs, rec)
-		off += 8 + n
-	}
-	if torn {
-		dst := filepath.Join(s.dir, quarantineDir,
-			fmt.Sprintf("%s%s.%d", id, walSuffix, time.Now().UnixNano()))
-		if qerr := os.Rename(s.walPath(id), dst); qerr != nil {
-			return recs, true, fmt.Errorf("store: quarantining torn journal %s: %w", id, qerr)
-		}
-		if qerr := s.syncDir(); qerr != nil {
-			return recs, true, qerr
-		}
-	}
-	return recs, torn, nil
-}
-
-// ResetWAL truncates the session's journal — called after a successful
-// snapshot, which subsumes every journaled operation.
-func (s *Store) ResetWAL(id string) error {
-	if err := validID(id); err != nil {
-		return err
-	}
-	f, err := s.walFile(id)
-	if err != nil {
-		return err
-	}
-	if err := f.Truncate(0); err != nil {
-		return fmt.Errorf("store: truncating journal %s: %w", id, err)
-	}
-	return nil
-}
-
-// Delete removes the session's snapshot and journal (eviction GC): an
-// evicted session must leave no orphaned files behind.
+// Delete removes the session's snapshot (eviction GC): an evicted session
+// must leave no orphaned file behind. Deleting a never-stored id is a
+// no-op.
 func (s *Store) Delete(id string) error {
 	if err := validID(id); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if f, ok := s.wals[id]; ok {
-		f.Close()
-		delete(s.wals, id)
-	}
-	s.mu.Unlock()
-	var first error
-	for _, p := range []string{s.snapPath(id), s.walPath(id)} {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) && first == nil {
-			first = fmt.Errorf("store: deleting %s: %w", id, err)
-		}
-	}
-	if first != nil {
-		return first
+	if err := os.Remove(s.snapPath(id)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("store: deleting %s: %w", id, err)
 	}
 	return s.syncDir()
 }

@@ -16,7 +16,6 @@ func open(t *testing.T) *Store {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	t.Cleanup(func() { s.Close() })
 	return s
 }
 
@@ -114,72 +113,9 @@ func TestTruncatedSnapshotQuarantined(t *testing.T) {
 	}
 }
 
-func TestWALAppendLoadReset(t *testing.T) {
-	s := open(t)
-	for _, rec := range []string{"one", "two", "three"} {
-		if err := s.AppendWAL("abc", []byte(rec)); err != nil {
-			t.Fatalf("AppendWAL(%q): %v", rec, err)
-		}
-	}
-	recs, torn, err := s.LoadWAL("abc")
-	if err != nil || torn {
-		t.Fatalf("LoadWAL: torn=%v err=%v", torn, err)
-	}
-	if len(recs) != 3 || string(recs[0]) != "one" || string(recs[2]) != "three" {
-		t.Fatalf("LoadWAL = %q", recs)
-	}
-	if err := s.ResetWAL("abc"); err != nil {
-		t.Fatalf("ResetWAL: %v", err)
-	}
-	recs, _, _ = s.LoadWAL("abc")
-	if len(recs) != 0 {
-		t.Fatalf("LoadWAL after reset = %q, want empty", recs)
-	}
-	// The journal handle survives a reset: appends keep working.
-	if err := s.AppendWAL("abc", []byte("four")); err != nil {
-		t.Fatalf("AppendWAL after reset: %v", err)
-	}
-	recs, _, _ = s.LoadWAL("abc")
-	if len(recs) != 1 || string(recs[0]) != "four" {
-		t.Fatalf("LoadWAL = %q, want [four]", recs)
-	}
-}
-
-func TestWALTornTailDropped(t *testing.T) {
-	s := open(t)
-	if err := s.AppendWAL("abc", []byte("good")); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-append: garbage bytes after the intact record.
-	f, err := os.OpenFile(filepath.Join(s.Dir(), "abc"+walSuffix), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x10, 0x00}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	recs, torn, err := s.LoadWAL("abc")
-	if err != nil {
-		t.Fatalf("LoadWAL: %v", err)
-	}
-	if !torn {
-		t.Fatal("torn tail not reported")
-	}
-	if len(recs) != 1 || string(recs[0]) != "good" {
-		t.Fatalf("intact prefix = %q, want [good]", recs)
-	}
-	if n := quarantineCount(t, s); n != 1 {
-		t.Fatalf("quarantine holds %d files, want 1 (the torn journal)", n)
-	}
-}
-
-func TestDeleteRemovesSnapshotAndJournal(t *testing.T) {
+func TestDeleteRemovesSnapshot(t *testing.T) {
 	s := open(t)
 	if err := s.Save("abc", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendWAL("abc", []byte("y")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete("abc"); err != nil {
@@ -204,8 +140,8 @@ func TestList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Journals and temp files must not show up as sessions.
-	if err := s.AppendWAL("zz", []byte("x")); err != nil {
+	// A temp file left by a crash mid-Save must not show up as a session.
+	if err := os.WriteFile(filepath.Join(s.Dir(), "zz"+snapSuffix+tmpSuffix), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	ids, err := s.List()
@@ -219,7 +155,7 @@ func TestList(t *testing.T) {
 
 func TestFaultInjectionFires(t *testing.T) {
 	s := open(t)
-	in := faults.NewInjector(1, faults.Rule{Point: faults.SessionSnapshot, FirstN: 3})
+	in := faults.NewInjector(1, faults.Rule{Point: faults.SessionSnapshot, FirstN: 2})
 	restore := faults.Activate(in)
 	defer restore()
 	if err := s.Save("abc", []byte("x")); err == nil {
@@ -228,10 +164,7 @@ func TestFaultInjectionFires(t *testing.T) {
 	if _, err := s.Load("abc"); err == nil || errors.Is(err, ErrNotFound) {
 		t.Fatalf("Load with injected fault = %v, want injected error", err)
 	}
-	if err := s.AppendWAL("abc", []byte("x")); err == nil {
-		t.Fatal("AppendWAL with injected fault succeeded")
-	}
-	if got := in.Fired(faults.SessionSnapshot); got != 3 {
-		t.Fatalf("Fired = %d, want 3", got)
+	if got := in.Fired(faults.SessionSnapshot); got != 2 {
+		t.Fatalf("Fired = %d, want 2", got)
 	}
 }
